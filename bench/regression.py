@@ -8,7 +8,7 @@ single-node SOI, batched SOI) in two forms:
   kernels: fresh temporaries per call, gather-materialized convolution
   windows, per-row Python loops over the batch;
 * **after**  — the planned zero-allocation layer: pooled workspaces,
-  ``out=`` destinations, strided-view convolution, batched FFT calls.
+  ``out=`` destinations, the GEMM convolution, batched pocketfft calls.
 
 Results land in ``BENCH_kernels.json`` at the repo root so the perf
 trajectory is tracked across PRs.  The harness also asserts the
@@ -49,6 +49,7 @@ from repro.core.convolution import (  # noqa: E402
 from repro.core.demodulate import demodulate  # noqa: E402
 from repro.core.params import SoiParams  # noqa: E402
 from repro.core.soi_single import SoiFFT  # noqa: E402
+from repro.fft.plan import get_plan  # noqa: E402
 from repro.fft.stockham import StockhamPlan, _butterfly_matrix  # noqa: E402
 
 LARGE_ALLOC = 1 << 20  # 1 MiB
@@ -133,15 +134,17 @@ def seed_convolve(x_ext, tables, j_start, n_rows, block_lo):
 
 
 def seed_soi_call(f: SoiFFT, x: np.ndarray) -> np.ndarray:
-    """The seed pipeline: allocating stages, seed FFT execution, fresh temps."""
+    """The seed pipeline: allocating stages, seed FFT execution of the
+    Stockham plans the seed took from ``get_plan``, fresh temps."""
     p = f.params
     s = p.n_segments
+    dt = f.dtype.type
     idx = np.arange(f._block_lo * s, f._block_hi * s) % p.n
     x_ext = np.asarray(x, dtype=f.dtype)[idx]
     u = seed_convolve(x_ext, f.tables, 0, p.m_oversampled, f._block_lo)
-    z = seed_stockham_call(f._lane_plan, u) if f._lane_plan is not None else u
+    z = seed_stockham_call(get_plan(s, -1, dtype=dt), u) if s > 1 else u
     alpha = np.ascontiguousarray(z.T)
-    beta = seed_stockham_call(f._seg_plan, alpha)
+    beta = seed_stockham_call(get_plan(p.m_oversampled, -1, dtype=dt), alpha)
     return demodulate(beta, f.tables).reshape(p.n)
 
 

@@ -9,10 +9,18 @@ with block offset ``m0(j) = (j // n_mu) * d_mu + q_r[j mod n_mu] - B/2 + 1``
 — the chunked, d_mu-shifted structure of Fig 6(a), stored compactly as the
 n_mu*B*S distinct coefficients.
 
-The numeric kernel is one vectorized implementation (verified against a
-literal triple loop).  The paper's three *execution strategies* — row-major
-baseline, loop-interchanged decomposed form, and circular-buffer staging —
-differ in traversal order, which NumPy's vectorization erases; they are
+The numeric kernel is the paper's unroll-and-jam written for BLAS: the
+n_mu rows of chunk k all read inside one window of T = B + max q_r blocks
+starting at block d_mu*k, so per lane s the whole stage is one GEMM
+``U_s (K x n_mu) = Xwin_s (K x T) . W_s (T x n_mu)`` — each loaded window
+is reused across the n_mu output rows that read it.  Windows are staged
+in cache-sized K-chunks and the S lane GEMMs run as one stacked
+``np.matmul`` (verified against a literal triple loop,
+:func:`convolve_reference`).
+
+The paper's three *execution strategies* — row-major baseline,
+loop-interchanged decomposed form, and circular-buffer staging — differ
+in traversal order, which the GEMM formulation subsumes; they are
 modeled as first-class :class:`ConvStrategy` objects that expose working
 sets, memory-sweep ledgers, cache address traces (for the cache simulator)
 and modeled execution times, reproducing the Fig 11 ablation.
@@ -20,11 +28,10 @@ and modeled execution times, reproducing the Fig 11 ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables
@@ -42,17 +49,11 @@ __all__ = [
     "input_block_offsets",
 ]
 
-#: Rows per gather/staging block in the vectorized kernels (bounds temp
-#: memory for the ``matmul`` mode and the tap-staging chunk for
-#: ``buffered``).
-_ROW_BLOCK = 4096
-
-#: Rows per residue staged through the reused circular buffers in the
-#: ``buffered`` mode — sized so acc+tmp stay cache-resident.
-_BUF_ROWS = 512
-
-#: Supported inner-product execution modes for :func:`convolve`.
-CONV_INNER_MODES = ("einsum", "buffered", "matmul")
+#: Bytes of staged windows per GEMM chunk: big enough to amortize the
+#: BLAS call, small enough that the chunk stays in a per-core L2 between
+#: the staging copy and the GEMM.  On a 2-vCPU Xeon host (2 MB L2 per
+#: core) 1 MB chunks ran the n = 2^20 stage 15% faster than 4 MB ones.
+_STAGE_BYTES = 1 << 20
 
 
 class ConvWorkspace:
@@ -60,13 +61,15 @@ class ConvWorkspace:
 
     Buffers are keyed by (name, shape, dtype), so a plan that calls
     ``convolve`` with a fixed geometry gets the same storage back on every
-    call — the steady state performs no new allocations.  One workspace
-    per plan (``SoiFFT`` owns one); sharing across differently-shaped
-    callers is safe but grows the pool.
+    call — the steady state performs no new allocations.  The workspace
+    also keeps the GEMM weights (:func:`_gemm_weights`) of the last tables
+    it served, per dtype.  One workspace per plan (``SoiFFT`` owns one);
+    sharing across differently-shaped callers is safe but grows the pool.
     """
 
     def __init__(self):
         self._bufs: dict[tuple, np.ndarray] = {}
+        self._weights: dict[str, tuple[SoiTables, np.ndarray]] = {}
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Return a reused (uninitialized) buffer of the given geometry."""
@@ -77,13 +80,24 @@ class ConvWorkspace:
             self._bufs[key] = buf
         return buf
 
+    def weights(self, tables: SoiTables, dtype) -> np.ndarray:
+        """:func:`_gemm_weights` of *tables*, built once per dtype."""
+        key = np.dtype(dtype).str
+        hit = self._weights.get(key)
+        if hit is None or hit[0] is not tables:
+            hit = (tables, _gemm_weights(tables, dtype))
+            self._weights[key] = hit
+        return hit[1]
+
     def nbytes(self) -> int:
         """Bytes currently held by the pool."""
-        return sum(b.nbytes for b in self._bufs.values())
+        return (sum(b.nbytes for b in self._bufs.values())
+                + sum(w.nbytes for _, w in self._weights.values()))
 
     def clear(self) -> None:
         """Drop every pooled buffer."""
         self._bufs.clear()
+        self._weights.clear()
 
 
 def input_block_offsets(params: SoiParams, j_start: int, n_rows: int) -> np.ndarray:
@@ -109,144 +123,142 @@ def block_range_for_rows(params: SoiParams, j_start: int, n_rows: int
     return int(m0.min()), int(m0.max()) + params.b
 
 
+def _gemm_weights(tables: SoiTables, dtype=np.complex128) -> np.ndarray:
+    """The lane GEMM operands ``W_s`` stacked as (S, T, n_mu).
+
+    ``W[s, q_r + b, r] = coeffs[r, b, s]``: column r holds phase r's B
+    taps shifted down by its block offset q_r, zero elsewhere, so one
+    T-block window (T = B + max q_r) feeds all n_mu rows of a chunk.
+    """
+    p = tables.params
+    q_r = tables.q_r
+    w = np.zeros((p.n_segments, p.b + int(q_r.max()), p.n_mu), dtype=dtype)
+    for r in range(p.n_mu):
+        w[:, q_r[r]: q_r[r] + p.b, r] = tables.coeffs[r].T
+    return w
+
+
+def _geometry(p: SoiParams, j_start: int, n_rows: int, block_lo: int,
+              nblocks: int) -> tuple[int, int, int]:
+    """(first window's block in x_ext, chunk count K, window T), validated."""
+    if j_start % p.n_mu:
+        raise ValueError("j_start must be a multiple of n_mu")
+    if n_rows % p.n_mu:
+        raise ValueError("n_rows must be a multiple of n_mu")
+    base = (j_start // p.n_mu) * p.d_mu - p.b // 2 + 1 - block_lo
+    k_total = n_rows // p.n_mu
+    t_len = p.b + (p.n_mu - 1) * p.d_mu // p.n_mu  # B + max q_r
+    if k_total and (base < 0
+                    or base + (k_total - 1) * p.d_mu + t_len > nblocks):
+        raise ValueError("x_ext does not cover the required block range")
+    return base, k_total, t_len
+
+
+def _stage_shape(p: SoiParams, batch: int, lanes: int, k_total: int,
+                 t_len: int, itemsize: int) -> tuple[int, int, int, int]:
+    """Staging buffer (rows, lanes, chunk, T) for :func:`_lane_gemm`.
+
+    A chunk holds at least two window rows (see :func:`_lane_gemm`);
+    when one chunk covers all K windows, several batch rows share it.
+    The chunk length depends only on the geometry, never on *batch* or
+    *lanes*, so every caller runs the same GEMM shapes.
+    """
+    per_window = p.n_segments * t_len * itemsize
+    kc = max(2, min(k_total, _STAGE_BYTES // per_window))
+    rows = max(1, min(batch, _STAGE_BYTES // (kc * per_window)))
+    return rows, lanes, kc, t_len
+
+
+def _windows(xb: np.ndarray, base: int, k_total: int, t_len: int,
+             p: SoiParams) -> np.ndarray:
+    """Strided (batch, S, K, T) view of the contiguous rows of *xb*:
+    ``win[i, s, k, t] = xb[i, (base + d_mu*k + t)*S + s]``."""
+    s, item = p.n_segments, xb.itemsize
+    return as_strided(xb[:, base * s:],
+                      shape=(xb.shape[0], s, k_total, t_len),
+                      strides=(xb.strides[0], item, p.d_mu * s * item,
+                               s * item),
+                      writeable=False)
+
+
+def _lane_gemm(win: np.ndarray, w: np.ndarray, out: np.ndarray,
+               stage: np.ndarray, res: np.ndarray) -> None:
+    """``out[i, k, r, l] = sum_t win[i, l, k, t] * w[l, t, r]``, chunked.
+
+    Each chunk is staged with one copy into *stage* and contracted with
+    one stacked matmul into *res*: one (chunk x T).(T x n_mu) GEMM per
+    (row, lane), never with batch rows folded into GEMM rows.  Every
+    GEMM has at least two rows: a one-row product goes to gemv, whose
+    rounding differs from gemm's, and a row must not depend on where
+    chunk boundaries fall (batch == solo, sub-range == full range, lane
+    repair == clean run).
+    """
+    n_rows, k_total = win.shape[0], win.shape[2]
+    g, kc = stage.shape[0], stage.shape[2]
+    for i0 in range(0, n_rows, g):
+        gi = min(g, n_rows - i0)
+        for k0 in range(0, k_total, kc):
+            ck = min(kc, k_total - k0)
+            st = stage[:gi, :, :max(ck, 2)]
+            rs = res[:gi, :, :max(ck, 2)]
+            # a one-window chunk is broadcast into both staged rows
+            np.copyto(st, win[i0:i0 + gi, :, k0:k0 + ck])
+            np.matmul(st, w, out=rs)
+            np.copyto(out[i0:i0 + gi, k0:k0 + ck],
+                      rs[:, :, :ck].transpose(0, 2, 3, 1))
+
+
+def _as_kernel_input(x_ext) -> np.ndarray:
+    arr = np.asarray(x_ext)
+    dtype = np.complex64 if arr.dtype == np.complex64 else np.complex128
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
              block_lo: int, out: np.ndarray | None = None, *,
-             workspace: ConvWorkspace | None = None,
-             inner: str = "einsum") -> np.ndarray:
-    """Vectorized W*x for rows [j_start, j_start+n_rows).
+             workspace: ConvWorkspace | None = None) -> np.ndarray:
+    """W*x for rows [j_start, j_start+n_rows) as stacked lane GEMMs.
 
     ``x_ext`` holds the (ghost-extended, periodically wrapped) input blocks
     ``[block_lo, block_lo + len(x_ext)//S)`` as a flat complex array, or a
     ``(batch, ext)`` stack of such arrays for batched execution.  Returns
     ``u`` of shape (n_rows, S) — ``(batch, n_rows, S)`` when batched.
 
-    The chunked, d_mu-shifted row structure makes every residue class
-    ``j mod n_mu`` read the input at a *fixed block stride d_mu*, so the
-    kernels below walk strided views of ``x_ext`` and never materialize
-    gathered copies of the B-deep windows.  ``inner`` selects the
-    inner-product execution:
-
-    * ``"einsum"`` (default) — one ``np.einsum`` per residue class over
-      the strided sliding-window view, writing straight into ``out``;
-    * ``"buffered"`` — tap-by-tap multiply-accumulate through two reused
-      cache-sized staging buffers (the executable form of the paper's
-      §5.3 circular-buffer strategy);
-    * ``"matmul"`` — stages window chunks contiguously and runs a batched
-      BLAS matmul over the lanes.
-
-    ``workspace`` (a :class:`ConvWorkspace`) supplies the staging buffers
-    for the latter two modes; with it, repeat calls of one geometry are
+    Every (batch row, lane) pair runs the same chunked GEMMs — batch rows
+    are never folded into GEMM rows — so a batched row is bitwise equal
+    to the same row run alone, and a row is bitwise independent of the
+    row range it was computed in.  ``workspace`` (a
+    :class:`ConvWorkspace`) supplies the staging buffers and keeps the
+    GEMM weights; with it, repeat calls of one geometry are
     allocation-free apart from the (caller-avoidable) output.
     """
     p = tables.params
-    s, b_width = p.n_segments, p.b
-    if inner not in CONV_INNER_MODES:
-        raise ValueError(f"inner must be one of {CONV_INNER_MODES}")
-    arr = np.asarray(x_ext)
-    dtype = np.complex64 if arr.dtype == np.complex64 else np.complex128
-    x_ext = np.asarray(arr, dtype=dtype)
+    s, n_mu = p.n_segments, p.n_mu
+    x_ext = _as_kernel_input(x_ext)
+    dtype = x_ext.dtype
     if x_ext.ndim not in (1, 2):
         raise ValueError("x_ext must be 1-D or (batch, ext)")
     batched = x_ext.ndim == 2
     if x_ext.shape[-1] % s:
         raise ValueError("x_ext length must be a multiple of S")
-    # the full per-row offset table is linear within each residue class
-    # (slope d_mu), so only the n_mu base offsets are ever materialized
-    m0 = input_block_offsets(p, j_start, min(n_rows, p.n_mu)) - block_lo
-    nblocks = x_ext.shape[-1] // s
-    last = (n_rows // p.n_mu - 1) * p.d_mu if n_rows >= p.n_mu else 0
-    if n_rows and (m0.min() < 0
-                   or int(m0.max()) + last + b_width > nblocks):
-        raise ValueError("x_ext does not cover the required block range")
+    base, k_total, t_len = _geometry(p, j_start, n_rows, block_lo,
+                                     x_ext.shape[-1] // s)
     out_shape = (x_ext.shape[0], n_rows, s) if batched else (n_rows, s)
     if out is None:
         out = np.empty(out_shape, dtype=dtype)
     elif out.shape != out_shape:
         raise ValueError("out has wrong shape")
-    w = tables.coeffs.astype(dtype, copy=False)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    xb = x_ext.reshape(-1, x_ext.shape[-1])
     ws = workspace if workspace is not None else ConvWorkspace()
-    xb = x_ext.reshape(-1, nblocks, s)
-    ob = out.reshape(-1, n_rows, s)
-    if inner == "einsum":
-        _convolve_einsum(xb, ob, w, m0, p)
-    elif inner == "buffered":
-        _convolve_buffered(xb, ob, w, m0, p, ws)
-    else:
-        _convolve_matmul(xb, ob, w, m0, p, ws)
+    shape = _stage_shape(p, xb.shape[0], s, k_total, t_len, dtype.itemsize)
+    _lane_gemm(_windows(xb, base, k_total, t_len, p),
+               ws.weights(tables, dtype),
+               out.reshape(-1, k_total, n_mu, s),
+               ws.array("conv.stage", shape, dtype),
+               ws.array("conv.res", shape[:3] + (n_mu,), dtype))
     return out
-
-
-def _residue_window(win: np.ndarray, base: int, k0: int, k1: int,
-                    d_mu: int) -> np.ndarray:
-    """Strided view of rows k0..k1 of one residue class: (batch, k1-k0, B, S)."""
-    lo = base + k0 * d_mu
-    return win[:, lo: lo + (k1 - k0 - 1) * d_mu + 1: d_mu]
-
-
-def _convolve_einsum(xb, ob, w, m0, p) -> None:
-    """One strided-view einsum per residue class; no staging copies.
-
-    Batched inputs run one lane at a time: einsum's strided inner loops
-    degrade sharply once a fourth (batch) axis is added, so per-lane 3-D
-    contractions are the fast shape (see ``bench/regression.py``).
-    """
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    n_rows = ob.shape[1]
-    nr = n_rows // n_mu
-    win = sliding_window_view(xb, (b_width, s), axis=(1, 2))[:, :, 0]
-    for x in range(xb.shape[0]):
-        for r in range(n_mu):
-            lo = int(m0[r])
-            v = win[x, lo: lo + (nr - 1) * d_mu + 1: d_mu]
-            np.einsum("cbs,bs->cs", v, w[r], out=ob[x, r::n_mu],
-                      optimize=False)
-
-
-def _convolve_buffered(xb, ob, w, m0, p, ws: ConvWorkspace) -> None:
-    """Tap-accumulate through two reused cache-sized staging buffers."""
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    nb, n_rows = xb.shape[0], ob.shape[1]
-    nr = n_rows // n_mu
-    chunk = min(nr, max(1, _BUF_ROWS // nb)) if nr else 0
-    acc = ws.array("buffered.acc", (nb, chunk, s), xb.dtype)
-    tmp = ws.array("buffered.tmp", (nb, chunk, s), xb.dtype)
-    for r in range(n_mu):
-        base = int(m0[r])
-        orows = ob[:, r::n_mu]
-        for k0 in range(0, nr, chunk):
-            k1 = min(k0 + chunk, nr)
-            a, t = acc[:, : k1 - k0], tmp[:, : k1 - k0]
-            lo = base + k0 * d_mu
-            hi = lo + (k1 - k0 - 1) * d_mu + 1
-            np.multiply(xb[:, lo:hi:d_mu], w[r, 0], out=a)
-            for b in range(1, b_width):
-                np.multiply(xb[:, lo + b: hi + b: d_mu], w[r, b], out=t)
-                np.add(a, t, out=a)
-            orows[:, k0:k1] = a
-
-
-def _convolve_matmul(xb, ob, w, m0, p, ws: ConvWorkspace) -> None:
-    """Stage window chunks lane-major and contract with a batched matmul."""
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    nb, n_rows = xb.shape[0], ob.shape[1]
-    nr = n_rows // n_mu
-    chunk = min(nr, max(1, _ROW_BLOCK // nb)) if nr else 0
-    win = sliding_window_view(xb, (b_width, s), axis=(1, 2))[:, :, 0]
-    sel = ws.array("matmul.sel", (nb, s, chunk, b_width), xb.dtype)
-    res = ws.array("matmul.res", (nb, s, chunk, 1), xb.dtype)
-    wcol = ws.array("matmul.w", (n_mu, s, b_width, 1), xb.dtype)
-    np.copyto(wcol, w.transpose(0, 2, 1)[..., None])
-    for r in range(n_mu):
-        base = int(m0[r])
-        orows = ob[:, r::n_mu]
-        for k0 in range(0, nr, chunk):
-            k1 = min(k0 + chunk, nr)
-            ck = k1 - k0
-            sl, rs = sel[:, :, :ck], res[:, :, :ck]
-            v = _residue_window(win, base, k0, k1, d_mu)  # (nb, ck, B, S)
-            np.copyto(sl, v.transpose(0, 3, 1, 2))
-            np.matmul(sl, wcol[r], out=rs)
-            orows[:, k0:k1] = rs[..., 0].transpose(0, 2, 1)
 
 
 def convolve_lanes(x_ext: np.ndarray, tables: SoiTables, j_start: int,
@@ -257,33 +269,36 @@ def convolve_lanes(x_ext: np.ndarray, tables: SoiTables, j_start: int,
     The decomposed per-lane structure (Fig 6(b)) makes lane ``p`` depend
     only on the stride-S input slice ``x_ext[p::S]`` and the coefficient
     slice ``coeffs[:, :, p]`` — so a corrupted lane can be recomputed at
-    ``len(lanes)/S`` of the full convolution cost.  The ABFT layer
+    ``len(lanes)/S`` of the full convolution cost.  It runs the lane's
+    GEMMs of :func:`convolve` with the same chunking, so a recomputed
+    lane is bitwise equal to the clean one.  The ABFT layer
     (:mod:`repro.verify`) uses this for segment-level repair.  1-D
     ``x_ext`` only; returns ``(n_rows, len(lanes))``.
     """
     p = tables.params
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
+    s, n_mu = p.n_segments, p.n_mu
     lanes = list(lanes)
-    x_ext = np.asarray(x_ext)
+    x_ext = _as_kernel_input(x_ext)
     if x_ext.ndim != 1:
         raise ValueError("convolve_lanes takes a 1-D x_ext")
-    dtype = np.complex64 if x_ext.dtype == np.complex64 else np.complex128
-    x_ext = np.asarray(x_ext, dtype=dtype)
+    dtype = x_ext.dtype
     if out is None:
         out = np.empty((n_rows, len(lanes)), dtype=dtype)
     elif out.shape != (n_rows, len(lanes)):
         raise ValueError("out has wrong shape")
-    m0 = input_block_offsets(p, j_start, min(n_rows, n_mu)) - block_lo
-    nr = n_rows // n_mu
-    w = tables.coeffs.astype(dtype, copy=False)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    base, k_total, t_len = _geometry(p, j_start, n_rows, block_lo,
+                                     x_ext.size // s)
+    win = _windows(x_ext[None], base, k_total, t_len, p)
+    w = _gemm_weights(tables, dtype)
+    shape = _stage_shape(p, 1, 1, k_total, t_len, dtype.itemsize)
+    stage = np.empty(shape, dtype=dtype)
+    res = np.empty(shape[:3] + (n_mu,), dtype=dtype)
+    out_k = out.reshape(1, k_total, n_mu, len(lanes))
     for i, lane in enumerate(lanes):
-        xl = x_ext[lane::s]  # the lane's stride-S input samples
-        win = sliding_window_view(xl, b_width)
-        for r in range(n_mu):
-            lo = int(m0[r])
-            v = win[lo: lo + (nr - 1) * d_mu + 1: d_mu]
-            np.einsum("cb,b->c", v, w[r, :, lane], out=out[r::n_mu, i],
-                      optimize=False)
+        _lane_gemm(win[:, lane:lane + 1], w[lane:lane + 1],
+                   out_k[..., i:i + 1], stage, res)
     return out
 
 

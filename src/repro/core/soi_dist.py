@@ -34,9 +34,12 @@ from repro.core.convolution import (
     convolve,
 )
 from repro.core.demodulate import demodulate
+from repro.core.localfft import lane_fft, segment_fft
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, build_tables
-from repro.fft.plan import get_plan
+# not called by the stages (they run on repro.core.localfft); kept
+# importable because perfbench's traced dist_sim run wraps this name
+from repro.fft.plan import get_plan  # noqa: F401
 
 __all__ = ["DistributedSoiFFT", "PartitionReport", "RecoveryReport",
            "balanced_row_slices",
@@ -191,8 +194,6 @@ class DistributedSoiFFT:
             raise ValueError(f"params expect {params.n_procs} ranks, "
                              f"backend has {getattr(backend, 'size', None)} "
                              f"workers")
-        self._lane_plan = get_plan(p.n_segments, -1) if p.n_segments > 1 else None
-        self._seg_plan = get_plan(p.m_oversampled, -1)
         # every rank's convolution has identical geometry, so one reused
         # workspace serves all ranks across repeated runs of the plan
         self._conv_ws = ConvWorkspace()
@@ -363,7 +364,7 @@ class DistributedSoiFFT:
             # x_ext[r] starts at block own_lo - left_g
             u = convolve(x_ext[r], self.tables, j_start, rows,
                          own_lo - left_g, workspace=self._conv_ws)
-            z = self._lane_plan(u) if self._lane_plan is not None else u
+            z = lane_fft(u)
             cl.charge_seconds(r, "convolution", conv_seconds + lane_seconds)
             if sdc is not None:
                 z = sdc.apply_sdc(z, rank=r, stage="conv")
@@ -409,7 +410,7 @@ class DistributedSoiFFT:
             for dst in range(n_procs):
                 alpha = np.concatenate(recv[dst], axis=0)  # (M', spp), rows
                 # in global j order because sources are rank-ordered
-                beta = self._seg_plan(alpha.T)  # (spp, M')
+                beta = segment_fft(alpha.T)  # (spp, M')
                 cl.charge_seconds(dst, "local FFT", fft_seconds)
                 if sdc is not None:
                     beta = sdc.apply_sdc(beta, rank=dst, stage="segment-fft")
@@ -443,7 +444,7 @@ class DistributedSoiFFT:
                                               deadline=deadline)
             for dst in range(n_procs):
                 alpha = np.concatenate(recv[dst])  # (M',) for this segment
-                beta = self._seg_plan(alpha)
+                beta = segment_fft(alpha)
                 cl.charge_seconds(dst, "local FFT", fft_seconds / spp)
                 if sdc is not None:
                     beta = sdc.apply_sdc(beta, rank=dst, stage="segment-fft")
@@ -580,8 +581,7 @@ class DistributedSoiFFT:
         idx = np.arange(lo, hi) % n_blocks
         x_ext = np.ascontiguousarray(
             x_global.reshape(n_blocks, s)[idx].reshape(-1))
-        u = convolve(x_ext, self.tables, j_start, n_rows, lo)
-        return self._lane_plan(u) if self._lane_plan is not None else u
+        return lane_fft(convolve(x_ext, self.tables, j_start, n_rows, lo))
 
     def _balanced_slices(self, start: int, count: int, parts: int
                          ) -> list[tuple[int, int]]:
@@ -694,7 +694,7 @@ class DistributedSoiFFT:
                 for j0, z in row_chunks[src]:
                     alpha[j0:j0 + z.shape[0]] = piece[off:off + z.shape[0]]
                     off += z.shape[0]
-            beta = self._seg_plan(alpha.T)  # (n_slots, M')
+            beta = segment_fft(alpha.T)  # (n_slots, M')
             seg = demodulate(beta, self.tables)  # (n_slots, M)
             cl.charge_seconds(d, "local FFT", fft_seconds * len(slots) / spp)
             cl.charge_seconds(d, "demodulation",

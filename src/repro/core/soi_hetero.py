@@ -19,10 +19,10 @@ import numpy as np
 from repro.cluster.simcluster import SimCluster
 from repro.core.convolution import convolve
 from repro.core.demodulate import demodulate
+from repro.core.localfft import lane_fft, segment_fft
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DEFAULT_CONV_EFFICIENCY, DEFAULT_FFT_EFFICIENCY
 from repro.core.window import SoiTables, build_tables
-from repro.fft.plan import get_plan
 
 __all__ = ["HeterogeneousSoiFFT"]
 
@@ -60,8 +60,6 @@ class HeterogeneousSoiFFT:
         self.fft_efficiency = fft_efficiency
         self.conv_efficiency = conv_efficiency
         self.tables: SoiTables = build_tables(self.params, window)
-        self._lane_plan = get_plan(s, -1) if s > 1 else None
-        self._seg_plan = get_plan(self.params.m_oversampled, -1)
 
         # row split proportional to seg_counts, rounded to whole chunks
         mp = self.params.m_oversampled
@@ -132,7 +130,7 @@ class HeterogeneousSoiFFT:
             j0, j1 = int(self.row_bounds[r]), int(self.row_bounds[r + 1])
             u = convolve(x_ext[r], self.tables, j0, j1 - j0,
                          int(self.block_bounds[r]) - left_g)
-            z = self._lane_plan(u) if self._lane_plan is not None else u
+            z = lane_fft(u)
             z_parts.append(z)
             share = (j1 - j0) / p.m_oversampled
             machine = cl.machine_of(r)
@@ -150,7 +148,7 @@ class HeterogeneousSoiFFT:
         y_parts = []
         for d in range(n_ranks):
             alpha = np.concatenate(recv[d], axis=0)  # (M', segs_d)
-            beta = self._seg_plan(alpha.T)
+            beta = segment_fft(alpha.T)
             seg = demodulate(beta, self.tables)
             y_parts.append(seg.reshape(-1))
             machine = cl.machine_of(d)

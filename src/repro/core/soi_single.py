@@ -15,10 +15,12 @@ node-local use.
 
 Execution is planned: the wrap-index table, convolution workspaces, and
 all five stage buffers are allocated once per batch size at first use and
-reused, every stage runs through ``out=`` destinations, and
-:meth:`SoiFFT.batch` executes lane and segment FFTs as single
-``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
-loop.  Steady-state calls with ``out=`` perform no new allocations
+reused, and every stage runs through ``out=`` destinations: the
+convolution as stacked lane GEMMs (:mod:`repro.core.convolution`), the
+lane and segment FFTs as single batched calls of the shared stage
+kernels (:mod:`repro.core.localfft`: DFT-matrix GEMM for the lanes,
+numpy's pocketfft for the segments) rather than a per-row Python loop.
+Steady-state complex128 calls with ``out=`` perform no new allocations
 (asserted by ``bench/regression.py`` via ``tracemalloc``).
 """
 
@@ -27,16 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.convolution import (
-    CONV_INNER_MODES,
     ConvWorkspace,
     block_range_for_rows,
     convolve,
 )
 from repro.core.demodulate import demodulate, fused_demod_diagonal
+from repro.core.localfft import lane_fft, segment_fft
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, build_tables
-from repro.fft.dft import dft_matrix
-from repro.fft.plan import get_plan
 from repro.fft.sixstep import sixstep_fft
 
 __all__ = ["SoiFFT", "soi_fft", "LOCAL_FFT_CHOICES"]
@@ -63,23 +63,18 @@ class SoiFFT:
     window:
         Optional window object (default: Kaiser-sinc sized from params).
     local_fft:
-        How the per-segment M'-point FFT runs: ``"direct"`` (batched
-        Stockham over all segments at once), ``"sixstep"`` (optimized
+        How the per-segment M'-point FFT runs: ``"direct"`` (one batched
+        pocketfft call over all segments), ``"sixstep"`` (optimized
         Bailey 6-step with *fused* demodulation, the paper's Phi path), or
         ``"sixstep-naive"`` (Fig 4a baseline).
     dtype:
         Working precision: ``complex128`` (default) or ``complex64``.
         Single precision is worthwhile when the window stopband exceeds
         float32 epsilon anyway (e.g. mu = 8/7 at B <= 48); it requires
-        ``local_fft="direct"`` and (2,3,5,7)-smooth S and M'.  The design
-        tables themselves are always built in double precision.
-    conv_inner:
-        Inner-product mode for the convolution stage (see
-        :func:`repro.core.convolution.convolve`).  The default
-        ``"einsum"`` is bitwise-identical for batched and single
-        execution (``batch()`` must equal per-vector calls exactly);
-        ``"matmul"`` trades that reproducibility for BLAS throughput on
-        large batches.
+        ``local_fft="direct"``.  The convolution and lane GEMMs run in
+        single precision; numpy's pocketfft runs complex64 segment FFTs
+        in double precision through cast buffers.  The design tables
+        themselves are always built in double precision.
     verify:
         ``True`` or a :class:`repro.verify.VerifyPolicy` arms algorithm-
         based fault tolerance: every planned block is checked against
@@ -100,18 +95,17 @@ class SoiFFT:
     ------------------
     ``plan(x, out=buf)`` / ``plan.batch(xs, out=bufs)`` write the spectrum
     into a caller-owned C-contiguous array of the plan dtype; after the
-    first call of a given batch size no further allocations occur.  Calls
+    first call of a given batch size no further allocations occur (for
+    complex64, apart from pocketfft's per-call cast buffers).  Calls
     without ``out=`` allocate exactly the result array.  The pooled stage
     buffers are private to the plan — results never alias them.
     """
 
     def __init__(self, params: SoiParams, window=None,
                  local_fft: str = "direct", dtype=np.complex128,
-                 conv_inner: str = "einsum", verify=False, telemetry=None):
+                 verify=False, telemetry=None):
         if local_fft not in LOCAL_FFT_CHOICES:
             raise ValueError(f"local_fft must be one of {LOCAL_FFT_CHOICES}")
-        if conv_inner not in CONV_INNER_MODES:
-            raise ValueError(f"conv_inner must be one of {CONV_INNER_MODES}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
             raise ValueError("dtype must be complex64 or complex128")
@@ -119,20 +113,9 @@ class SoiFFT:
             raise ValueError("complex64 requires local_fft='direct'")
         self.params = params
         self.local_fft = local_fft
-        self.conv_inner = conv_inner
         self.tables: SoiTables = build_tables(params, window)
-        dt = self.dtype.type
-        self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
-            if params.n_segments > 1 else None
-        # for the tiny fixed-size lane transform (length S, huge batch) a
-        # direct DFT-matrix matmul beats the multi-pass Stockham stages by
-        # a wide margin (one BLAS zgemm vs ~12 strided ufunc sweeps); only
-        # worthwhile while the O(S^2) matrix stays cache-sized
-        self._lane_mat = None
-        if 1 < params.n_segments <= 64:
-            self._lane_mat = np.ascontiguousarray(
-                dft_matrix(params.n_segments).astype(self.dtype))
-        self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
+        #: whether a lane stage runs (S > 1) and so has its own buffer
+        self._has_lanes = params.n_segments > 1
         self._fused_diag = fused_demod_diagonal(self.tables)
         lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
         self._block_lo, self._block_hi = lo, hi
@@ -173,7 +156,7 @@ class SoiFFT:
                 "alpha": np.empty((batch, s, mp), dtype=self.dtype),
                 "beta": np.empty((batch, s, mp), dtype=self.dtype),
             }
-            if self._lane_plan is not None:
+            if self._has_lanes:
                 bufs["z"] = np.empty((batch, mp, s), dtype=self.dtype)
             self._bufpool[batch] = bufs
         return bufs
@@ -202,10 +185,8 @@ class SoiFFT:
         rows = p.m_oversampled  # all rows (single process)
         x_ext = self.extended_input(x)
         u = convolve(x_ext, self.tables, 0, rows, self._block_lo,
-                     workspace=self._conv_ws, inner=self.conv_inner)
-        if self._lane_plan is None:
-            return u
-        return self._lane_plan(u)
+                     workspace=self._conv_ws)
+        return lane_fft(u)
 
     def segment_spectra(self, z: np.ndarray) -> np.ndarray:
         """Stages 3-4: permutation (transpose) + per-segment F_{M'}.
@@ -215,7 +196,7 @@ class SoiFFT:
         p = self.params
         alpha = np.ascontiguousarray(z.T)  # (S, M'): segment s's subband
         if self.local_fft == "direct":
-            return self._seg_plan(alpha)
+            return segment_fft(alpha)
         variant = "optimized" if self.local_fft == "sixstep" else "naive"
         out = np.empty_like(alpha)
         for s in range(p.n_segments):
@@ -256,8 +237,7 @@ class SoiFFT:
         t = clk() if clk else 0.0
         self._gather_extended(xs, bufs["x_ext"])
         convolve(bufs["x_ext"], self.tables, 0, mp, self._block_lo,
-                 out=bufs["u"], workspace=self._conv_ws,
-                 inner=self.conv_inner)
+                 out=bufs["u"], workspace=self._conv_ws)
         if telem is not None:
             now = clk()
             telem.stage("conv", t, now,
@@ -265,13 +245,8 @@ class SoiFFT:
             t = now
         if hook:
             hook("conv", bufs["u"])
-        if self._lane_mat is not None:
-            np.matmul(bufs["u"], self._lane_mat, out=bufs["z"])
-            z = bufs["z"]
-        elif self._lane_plan is not None:
-            self._lane_plan(bufs["u"].reshape(-1, s),
-                            out=bufs["z"].reshape(-1, s))
-            z = bufs["z"]
+        if self._has_lanes:
+            z = lane_fft(bufs["u"], out=bufs["z"])
         else:
             z = bufs["u"]
         if telem is not None and z is not bufs["u"]:
@@ -287,8 +262,8 @@ class SoiFFT:
             t = now
         if hook:
             hook("permute", bufs["alpha"])
-        self._seg_plan(bufs["alpha"].reshape(-1, mp),
-                       out=bufs["beta"].reshape(-1, mp))
+        segment_fft(bufs["alpha"].reshape(-1, mp),
+                    out=bufs["beta"].reshape(-1, mp))
         if telem is not None:
             now = clk()
             telem.stage("segment-fft", t, now, nbytes=2 * bufs["beta"].nbytes)
@@ -365,7 +340,7 @@ class SoiFFT:
 
     def _rows_per_block(self) -> int:
         p = self.params
-        lanes = 4 if self._lane_plan is not None else 3
+        lanes = 4 if self._has_lanes else 3
         per_row = (self._ext_idx.size
                    + lanes * p.m_oversampled * p.n_segments
                    ) * self.dtype.itemsize
@@ -376,7 +351,7 @@ class SoiFFT:
         """Transform each row of a (batch, N) matrix, reusing this plan.
 
         The expensive design work (window sampling, demodulation inverse,
-        FFT plan construction) amortizes across the batch — the usage
+        GEMM weights) amortizes across the batch — the usage
         pattern of every frame-oriented application (see
         :mod:`repro.core.streaming`).  For the ``"direct"`` local FFT the
         batch executes as batched kernels over cache-sized row blocks:

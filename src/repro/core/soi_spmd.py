@@ -37,6 +37,7 @@ from repro.core.convolution import (
     convolve,
 )
 from repro.core.demodulate import demodulate
+from repro.core.localfft import lane_fft, segment_fft
 from repro.core.params import SoiParams
 from repro.core.soi_dist import (
     DEFAULT_CONV_EFFICIENCY,
@@ -46,7 +47,6 @@ from repro.core.soi_dist import (
     balanced_row_slices,
 )
 from repro.core.window import SoiTables, build_tables
-from repro.fft.plan import get_plan
 
 __all__ = ["run_parallel_soi", "soi_rank_program", "spmd_soi_fft"]
 
@@ -80,7 +80,7 @@ def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
     j_start = rank * rows
     u = convolve(x_ext, tables, j_start, rows,
                  rank * blocks_per_rank - left_g)
-    z = get_plan(s, -1)(u) if s > 1 else u
+    z = lane_fft(u)
     conv_secs = conv_time_model(p, machine,
                                 compute_efficiency=DEFAULT_CONV_EFFICIENCY)
     lane_secs = machine.flop_time(p.lane_fft_flops / size,
@@ -111,7 +111,7 @@ def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
     alpha = np.concatenate(pieces, axis=0)  # (M', spp), source-rank order
     fft_secs = machine.flop_time(p.local_fft_flops / size,
                                  DEFAULT_FFT_EFFICIENCY)
-    beta = get_plan(p.m_oversampled, -1)(alpha.T)
+    beta = segment_fft(alpha.T)
     yield Compute(fft_secs, label="local FFT")
     if sdc is not None:
         beta = sdc.apply_sdc(beta, rank=rank, stage="segment-fft")
@@ -129,7 +129,7 @@ def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
 # -- real-parallel execution -------------------------------------------
 
 #: Worker-side cache: every job of the same geometry reuses the tables
-#: (and their planned FFTs) instead of re-deriving the window per call.
+#: instead of re-deriving the window per call.
 _WORKER_TABLES: dict = {}
 _WORKER_VERIFIERS: dict = {}
 
@@ -206,8 +206,7 @@ def _recovery_rows(x_global: np.ndarray, tables: SoiTables, j_start: int,
     idx = np.arange(lo, hi) % n_blocks
     x_ext = np.ascontiguousarray(
         x_global.reshape(n_blocks, s)[idx].reshape(-1))
-    u = convolve(x_ext, tables, j_start, n_rows, lo)
-    return get_plan(s, -1)(u) if s > 1 else u
+    return lane_fft(convolve(x_ext, tables, j_start, n_rows, lo))
 
 
 def _parallel_recovery_program(ctx: RankContext, z_ckpt,
@@ -251,7 +250,7 @@ def _parallel_recovery_program(ctx: RankContext, z_ckpt,
         for j0, nr, _from_ckpt in all_rows[spos]:
             alpha[j0:j0 + nr] = piece[off:off + nr]
             off += nr
-    beta = get_plan(p.m_oversampled, -1)(alpha.T)
+    beta = segment_fft(alpha.T)
     seg = demodulate(beta, tables)
     yield Compute(0.0, label="recovery fft+demod")
     return my_slots, np.ascontiguousarray(seg)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import SoiParams
-from repro.fft.plan import get_plan
 
 __all__ = [
     "GaussianSincWindow",
@@ -199,14 +198,16 @@ def _demod_table(p: SoiParams, coeffs: np.ndarray, q_r: np.ndarray) -> np.ndarra
     demod[k] = (M'/(n_mu*N)) * sum_r exp(-2pi i r k / M')
                * exp(+2pi i k (q_r - B/2 + 1) S / N) * G_r(k)
     with G_r(k) = sum_{b,l} w[r,b,l] exp(+2pi i k (b*S + l)/N), evaluated
-    for all r at once via one batched inverse FFT of the zero-padded taps.
+    for all r at once via one batched inverse FFT of the zero-padded taps
+    (numpy's pocketfft: deterministic, so every rank that rebuilds the
+    tables gets the same bits).
     """
     n, s, b_width = p.n, p.n_segments, p.b
     m, mp, n_mu = p.m, p.m_oversampled, p.n_mu
     padded = np.zeros((n_mu, n), dtype=np.complex128)
     padded[:, : b_width * s] = coeffs.reshape(n_mu, b_width * s)
-    # G_r(k) = N * ifft(padded)[k]; our inverse plan scales by 1/N already.
-    g = get_plan(n, +1)(padded) * n
+    # G_r(k) = N * ifft(padded)[k]; ifft scales by 1/N already.
+    g = np.fft.ifft(padded, axis=-1) * n
     k = np.arange(m)
     r = np.arange(n_mu)
     phase = np.exp(

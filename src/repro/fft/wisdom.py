@@ -163,7 +163,6 @@ def _validate_soi(entry: dict) -> dict:
     return {"kind": "soi", "n": n, "dtype": str(entry["dtype"]),
             "machine": str(entry["machine"]), "segments": seg,
             "n_mu": n_mu, "d_mu": d_mu, "b": int(entry["b"]),
-            "conv_inner": str(entry["conv_inner"]),
             "tuned_s": entry.get("tuned_s"),
             "default_s": entry.get("default_s")}
 
@@ -328,14 +327,14 @@ class Wisdom:
         return entry
 
     def record_soi(self, n: int, dtype, machine: str, *, segments: int,
-                   n_mu: int, d_mu: int, b: int, conv_inner: str,
+                   n_mu: int, d_mu: int, b: int,
                    tuned_s: float | None = None,
                    default_s: float | None = None) -> dict:
         """Remember an autotuned SOI pipeline configuration."""
         entry = _validate_soi({
             "n": n, "dtype": np.dtype(dtype).name, "machine": machine,
             "segments": segments, "n_mu": n_mu, "d_mu": d_mu, "b": b,
-            "conv_inner": conv_inner, "tuned_s": tuned_s,
+            "tuned_s": tuned_s,
             "default_s": default_s})
         i = self._stripe_of(entry["n"], None, entry["dtype"])
         with self._stripe_guard(i):

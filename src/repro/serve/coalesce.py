@@ -13,9 +13,10 @@ is ripe: either it reached ``max_batch`` rows, or ``window_seconds``
 elapsed since its first member (the gateway owns the timers — this
 structure is clock-free and usable from the virtual-time load
 generator).  The split back to per-request results is trivial because
-row *i* of the batched spectrum IS request *i*'s spectrum, bitwise: the
-``"einsum"`` convolution kernel guarantees batched and single execution
-agree exactly (asserted by the differential tests).
+row *i* of the batched spectrum IS request *i*'s spectrum, bitwise: every
+SOI stage kernel runs batch rows independently (the convolution loops
+over rows, never folding them into GEMM rows), so batched and single
+execution agree exactly (asserted by the differential tests).
 
 :func:`itemize_batch` spreads one batch execution's cost back into the
 member requests' :class:`~repro.resilience.deadline.Budget`s: each

@@ -18,9 +18,11 @@ runs through, in order:
    elapse, whichever is first.
 4. **Batched execution** — one ``SoiFFT.batch()`` call per window, run
    on an executor thread so the loop keeps accepting; the plan, twiddle
-   tables, and pooled workspaces amortize over the whole window.  Row
-   *i* of the result is request *i*'s spectrum, bitwise identical to
-   serving it alone (the ``"einsum"`` batch invariance).
+   tables, and pooled workspaces amortize over the whole window.  A
+   window whose calibrated projection fits in one GIL switch interval
+   runs inline on the loop instead (see ``AsyncSoiGateway._inline``).
+   Row *i* of the result is request *i*'s spectrum, bitwise identical
+   to serving it alone (the stage kernels' batch invariance).
 5. **Per-request completion** — each member's own
    :class:`~repro.resilience.deadline.Deadline` is checked, its budget
    itemized (``"compute"`` share + ``"coalesce wait"``), and its future
@@ -44,6 +46,7 @@ stalling the loop.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -97,8 +100,8 @@ class AsyncSoiGateway:
         Optional executor for batch execution (default: a private
         2-thread pool, shut down by :meth:`close`).
     fault_injector:
-        Test/chaos hook ``(key, members) -> None`` invoked on the
-        executor thread before each batch executes; an exception it
+        Test/chaos hook ``(key, members) -> None`` invoked where each
+        batch executes, just before it does; an exception it
         raises is handled exactly like a mid-batch execution failure.
     """
 
@@ -132,6 +135,8 @@ class AsyncSoiGateway:
         self._own_executor = executor is None
         self.executor = (ThreadPoolExecutor(max_workers=2)
                          if executor is None else executor)
+        #: set once a measured batch has calibrated the cost model
+        self._calibrated = False
         self._timers: dict[CoalesceKey, asyncio.TimerHandle] = {}
         self._flushes: set[asyncio.Task] = set()
         self._closed = False
@@ -250,16 +255,35 @@ class AsyncSoiGateway:
 
     def _execute_batch(self, key: CoalesceKey,
                        members: list[PendingRequest]):
-        """Runs on the executor thread: one ``batch()`` for the window."""
+        """One ``batch()`` for the window; *elapsed* excludes the wait
+        for another batch of the same rung."""
         plan = self.plan(key.rung_index)
         if self.fault_injector is not None:
             self.fault_injector(key, members)
         xs = stack_requests(members, plan.dtype)
-        t0 = float(self.clock())
         with self._exec_lock(key.rung_index):
+            t0 = float(self.clock())
             y = plan.batch(xs)
-        elapsed = float(self.clock()) - t0
+            elapsed = float(self.clock()) - t0
         return split_rows(y, members), elapsed
+
+    def _inline(self, key: CoalesceKey, raw_seconds: float) -> bool:
+        """Whether the window's batch runs on the event loop itself.
+
+        On an executor thread the batch and the loop take turns on the
+        GIL: each numpy call of the batch releases it, and a loop
+        callback that takes it then holds the batch off until the loop
+        blocks again (up to a switch interval), once per wake-up.  A
+        batch projected (model x measured scale) to finish within one
+        switch interval pays more for that hand-off than the loop gains
+        from running beside it, so it runs inline — unless its plan is
+        not built yet or another batch of its rung holds it.
+        """
+        return (self._calibrated
+                and self.admission.scaled(raw_seconds)
+                <= sys.getswitchinterval()
+                and key.rung_index in self._plans
+                and not self._exec_lock(key.rung_index).locked())
 
     def _reason(self, rung_index: int, tenant: str) -> str:
         if rung_index == 0:
@@ -380,10 +404,14 @@ class AsyncSoiGateway:
     async def _flush_members(self, key, members) -> None:
         """Execute one closed window: batch, itemize, resolve members."""
         loop = asyncio.get_running_loop()
+        raw = self._project(self.ladder[key.rung_index], len(members))
         started_at = float(self.clock())
         try:
-            ys, elapsed = await loop.run_in_executor(
-                self.executor, self._execute_batch, key, members)
+            if self._inline(key, raw):
+                ys, elapsed = self._execute_batch(key, members)
+            else:
+                ys, elapsed = await loop.run_in_executor(
+                    self.executor, self._execute_batch, key, members)
         except Exception as exc:
             await self._degrade_members(key, members, exc)
             return
@@ -392,8 +420,8 @@ class AsyncSoiGateway:
                 self.admission.release(m.projected)
         self._record_batch(key, members, started_at, elapsed)
         itemize_batch(members, started_at, elapsed)
-        raw = self._project(self.ladder[key.rung_index], len(members))
         self.admission.calibrate(raw, elapsed)
+        self._calibrated |= raw > 0 and elapsed > 0
         for m, y in zip(members, ys):
             self._complete(m, y, key.rung_index,
                            self._reason(key.rung_index, m.tenant))

@@ -33,9 +33,13 @@ import numpy as np
 from repro.core.convolution import convolve, convolve_lanes
 from repro.core.demodulate import demodulate
 from repro.core.error_model import verification_thresholds
+from repro.core.localfft import (
+    LANE_GEMM_MAX,
+    lane_fft,
+    lane_matrix,
+    segment_fft,
+)
 from repro.core.window import SoiTables
-from repro.fft.dft import dft_matrix
-from repro.fft.plan import get_plan
 from repro.verify.abft import ConvChecksum, checksum_weights
 from repro.verify.invariants import energy_cols, energy_rows, parseval_check
 from repro.telemetry.metrics import get_registry
@@ -137,7 +141,7 @@ class PipelineVerifier:
         th = self.thresholds
         u, alpha, beta = bufs["u"], bufs["alpha"], bufs["beta"]
         z = bufs.get("z", u)
-        has_lane = soi._lane_plan is not None
+        has_lane = soi._has_lanes
 
         # conv + lane: the operator checksum predicted from the staged
         # input rides the lane transform, so one comparison on the wire
@@ -146,13 +150,7 @@ class PipelineVerifier:
         # stage that produced it.
         self.report.checks += 1
         c_pred_u = self._conv_checksum().predict(bufs["x_ext"])
-        if has_lane:
-            if soi._lane_mat is not None:
-                c_pred_z = np.matmul(c_pred_u, soi._lane_mat)
-            else:
-                c_pred_z = soi._lane_plan(c_pred_u)
-        else:
-            c_pred_z = c_pred_u
+        c_pred_z = lane_fft(c_pred_u)
         c_obs_z = np.matmul(self._w_rows, z)
         e_z = energy_cols(z)  # (b, s)
         bad = _abs2(c_obs_z - c_pred_z) > th.checksum_rtol ** 2 * (
@@ -206,7 +204,7 @@ class PipelineVerifier:
         alpha, beta = bufs["alpha"], bufs["beta"]
         ts = list(ts)
         alpha[bi, ts] = z[bi][:, ts].T
-        beta[bi, ts] = soi._seg_plan(np.ascontiguousarray(alpha[bi, ts]))
+        beta[bi, ts] = segment_fft(alpha[bi, ts])
         for t in ts:
             res3[bi, t] = beta[bi, t, : soi.params.m] / soi.tables.demod
 
@@ -226,23 +224,21 @@ class PipelineVerifier:
                     soi._block_lo, ts)
                 # the lane FFT mixes lanes: everything downstream of a
                 # repaired lane is suspect for this batch row
-                if soi._lane_mat is not None:
-                    np.matmul(u[bi], soi._lane_mat, out=z[bi])
-                elif soi._lane_plan is not None:
-                    soi._lane_plan(u[bi], out=z[bi])
+                if soi._has_lanes:
+                    lane_fft(u[bi], out=z[bi])
                 self._redo_downstream(bufs, res3, bi, range(s))
             elif stage == "lane":
-                if soi._lane_mat is not None:
-                    z[bi][:, ts] = np.matmul(u[bi], soi._lane_mat[:, ts])
+                if s <= LANE_GEMM_MAX:
+                    z[bi][:, ts] = np.matmul(u[bi],
+                                             lane_matrix(s, u.dtype)[:, ts])
                 else:
-                    soi._lane_plan(u[bi], out=z[bi])
+                    lane_fft(u[bi], out=z[bi])
                     ts = range(s)
                 self._redo_downstream(bufs, res3, bi, ts)
             elif stage == "permute":
                 self._redo_downstream(bufs, res3, bi, ts)
             elif stage == "segment-fft":
-                beta[bi, ts] = soi._seg_plan(
-                    np.ascontiguousarray(alpha[bi, ts]))
+                beta[bi, ts] = segment_fft(alpha[bi, ts])
                 for t in ts:
                     res3[bi, t] = beta[bi, t, : p.m] / soi.tables.demod
             else:  # demod
@@ -310,12 +306,6 @@ class DistVerifier:
         self._rows = p.rows_per_process
         self._left_g = p.ghost_blocks[0]
         self._w_rows = checksum_weights(self._rows)
-        self._seg_plan = get_plan(p.m_oversampled, -1)
-        self._lane_plan = get_plan(p.n_segments, -1) \
-            if p.n_segments > 1 else None
-        self._lane_mat = None
-        if 1 < p.n_segments <= _MAX_LANE_MATRIX:
-            self._lane_mat = dft_matrix(p.n_segments)
         self._vdemod = np.ascontiguousarray(1.0 / tables.demod)
         self._conv_chk: ConvChecksum | None = None
         self._mirror = _MetricsMirror()
@@ -372,13 +362,7 @@ class DistVerifier:
             self._charge(cluster, rank, "abft verify",
                          cluster.machine_of(rank).mem_time(
                              z.nbytes + x_ext.nbytes))
-        c_pred_u = self._conv_checksum().predict(x_ext)
-        if self._lane_mat is not None:
-            c_pred = c_pred_u @ self._lane_mat
-        elif self._lane_plan is not None:
-            c_pred = self._lane_plan(c_pred_u)
-        else:
-            c_pred = c_pred_u
+        c_pred = lane_fft(self._conv_checksum().predict(x_ext))
         strike = 0
         try:
             while True:
@@ -396,9 +380,9 @@ class DistVerifier:
                         f"rank {rank}: conv stage failed verification after "
                         f"{self.policy.max_strikes} repair attempts "
                         f"(segments {segs.tolist()})")
-                if strike == 1 and self._lane_mat is not None:
+                if strike == 1 and 1 < s <= _MAX_LANE_MATRIX:
                     # segment-level: re-derive only the corrupt z columns
-                    z[:, segs] = np.matmul(u, self._lane_mat[:, segs])
+                    z[:, segs] = np.matmul(u, lane_matrix(s)[:, segs])
                     self.report.segment_repairs += 1
                     self._charge(cluster, rank, "abft repair",
                                  lane_seconds * len(segs) / s,
@@ -406,8 +390,7 @@ class DistVerifier:
                 else:
                     u = convolve(x_ext, self.tables, j_start, self._rows,
                                  block_lo)
-                    z = self._lane_plan(u) \
-                        if self._lane_plan is not None else u
+                    z = lane_fft(u)
                     self.report.stage_repairs += 1
                     self.report.escalations += 1
                     self._charge(cluster, rank, "abft repair",
@@ -462,15 +445,14 @@ class DistVerifier:
                         f"after {self.policy.max_strikes} repair attempts "
                         f"(segments {[slot_ids[i] for i in rows_bad]})")
                 if strike == 1:
-                    beta[rows_bad] = self._seg_plan(
-                        np.ascontiguousarray(alpha.T[rows_bad]))
+                    beta[rows_bad] = segment_fft(alpha.T[rows_bad])
                     self.report.segment_repairs += 1
                     self._charge(cluster, rank, "abft repair",
                                  fft_seconds * len(rows_bad) / max(
                                      beta.shape[0], 1),
                                  category="retry")
                 else:
-                    beta = self._seg_plan(np.ascontiguousarray(alpha.T))
+                    beta = segment_fft(alpha.T)
                     self.report.stage_repairs += 1
                     self.report.escalations += 1
                     self._charge(cluster, rank, "abft repair", fft_seconds,

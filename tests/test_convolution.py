@@ -8,6 +8,7 @@ from repro.core.convolution import (
     block_range_for_rows,
     conv_time_model,
     convolve,
+    convolve_lanes,
     convolve_reference,
     input_block_offsets,
 )
@@ -86,6 +87,36 @@ class TestConvolveNumerics:
         x_ext2 = x[np.arange(lo2 * s, hi2 * s) % p.n]
         part = convolve(x_ext2, tables, half, half, lo2)
         assert np.allclose(part, full[half:], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_partial_row_range_bitwise_equals_full(self, rng, tables, dtype):
+        # partition and recovery rely on a row not depending on the row
+        # range it is computed in; one-chunk ranges hit the tail path
+        p = tables.params
+        rows, s, n_mu = p.m_oversampled, p.n_segments, p.n_mu
+        x = random_complex(rng, p.n).astype(dtype)
+
+        def rows_of(j0, n):
+            lo, hi = block_range_for_rows(p, j0, n)
+            return convolve(x[np.arange(lo * s, hi * s) % p.n], tables,
+                            j0, n, lo)
+
+        full = rows_of(0, rows)
+        for j0, n in [(0, n_mu), (n_mu, n_mu), (3 * n_mu, 5 * n_mu),
+                      (rows // 2, rows // 2), (7 * n_mu, rows - 9 * n_mu),
+                      (rows - n_mu, n_mu)]:
+            assert np.array_equal(rows_of(j0, n), full[j0:j0 + n])
+
+    def test_lane_subset_bitwise_equals_full(self, rng, tables):
+        p = tables.params
+        rows = p.m_oversampled
+        lo, hi = block_range_for_rows(p, 0, rows)
+        s = p.n_segments
+        x_ext = random_complex(rng, p.n)[np.arange(lo * s, hi * s) % p.n]
+        full = convolve(x_ext, tables, 0, rows, lo)
+        lanes = [s - 1, 0]
+        part = convolve_lanes(x_ext, tables, 0, rows, lo, lanes)
+        assert np.array_equal(part, full[:, lanes])
 
     def test_out_parameter(self, rng, tables):
         p = tables.params

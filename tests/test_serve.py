@@ -15,6 +15,7 @@ The load-bearing guarantees under test:
 """
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -257,6 +258,38 @@ class TestGatewayDifferential:
         asyncio.run(gw.close())
         assert stats["coalesce_ratio"] > 1.0
         assert stats["batches"] < len(xs)
+
+
+class TestGatewayPlacement:
+    """Where a window's batch runs: the executor until a measured batch
+    calibrates the cost model, then inline on the loop whenever the
+    calibrated projection fits in one GIL switch interval."""
+
+    def threads(self, ladder):
+        seen = []
+        gw = make_gateway(ladder, max_batch=1, fault_injector=lambda key,
+                          members: seen.append(threading.current_thread()))
+        xs = signals(3, seed=5)
+
+        async def go():
+            try:
+                for x in xs:
+                    r = await gw.submit(x, tenant="gold-tenant",
+                                        deadline_seconds=30.0)
+                    assert r.outcome == "ok"
+            finally:
+                await gw.close()
+
+        asyncio.run(go())
+        return [t is threading.main_thread() for t in seen]
+
+    def test_short_batches_run_inline_once_calibrated(self, ladder):
+        assert self.threads(ladder) == [False, True, True]
+
+    def test_batches_beyond_a_switch_interval_hop(self, ladder,
+                                                 monkeypatch):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 0.0)
+        assert self.threads(ladder) == [False, False, False]
 
 
 # ---------------------------------------------------------------------------

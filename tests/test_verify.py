@@ -150,6 +150,18 @@ class TestSingleNodeVerification:
         # repair restores numpy.fft agreement to the clean-run level
         assert relative_l2_error(y, np.fft.fft(x)) <= base * 1.0001
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_conv_repair_is_bitwise_clean(self, rng, batch):
+        # a repaired lane is recomputed by the same GEMMs as the clean
+        # run, and everything downstream of it is redone row by row
+        xs = random_complex(rng, batch, PARAMS.n)
+        clean = SoiFFT(PARAMS).batch(xs)
+        f = SoiFFT(PARAMS, verify=VerifyPolicy(
+            inject=one_shot_injector("conv", 5)))
+        ys = f.batch(xs)
+        assert f.verifier.report.detected_stages == {"conv"}
+        assert np.array_equal(ys, clean)
+
     def test_small_amplitude_still_detected(self, rng):
         x = random_complex(rng, PARAMS.n)
         policy = VerifyPolicy(

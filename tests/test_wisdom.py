@@ -131,9 +131,9 @@ class TestKernelEntries:
     def test_soi_record_and_lookup(self):
         w = Wisdom()
         w.record_soi(3584, "complex128", "m000000000001", segments=8,
-                     n_mu=8, d_mu=7, b=72, conv_inner="einsum")
+                     n_mu=8, d_mu=7, b=72)
         e = w.lookup_soi(3584, "complex128")
-        assert e["segments"] == 8 and e["conv_inner"] == "einsum"
+        assert e["segments"] == 8 and "conv_inner" not in e
 
     def test_lookup_publishes_wisdom_metrics(self):
         from repro.telemetry.metrics import MetricsRegistry, set_registry
@@ -157,7 +157,7 @@ class TestRoundTrip:
         w.record_kernel(256, -1, "complex128", "m000000000001", "stockham",
                         [2] * 8, tuned_s=1e-4, default_s=2e-4)
         w.record_soi(3584, "complex128", "m000000000001", segments=16,
-                     n_mu=5, d_mu=4, b=48, conv_inner="matmul")
+                     n_mu=5, d_mu=4, b=48)
         path = tmp_path / "wisdom.json"
         w.save(path)
         restored = Wisdom.load(path, strict=True)
@@ -175,6 +175,21 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         assert payload["version"] == WISDOM_VERSION
         assert payload["entries"][0]["kind"] == "kernel"
+
+    def test_soi_entries_with_conv_inner_still_load(self, tmp_path):
+        # stores written before the single GEMM convolution record the
+        # removed convolution kernel choice; it is read and dropped
+        old = {"version": 2, "entries": [
+            {"kind": "soi", "n": 3584, "dtype": "complex128",
+             "machine": "4600919bbdd8", "segments": 32, "n_mu": 5,
+             "d_mu": 4, "b": 48, "conv_inner": "matmul",
+             "tuned_s": 0.0014, "default_s": 0.0023}]}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(old))
+        w = Wisdom.load(path, strict=True)
+        e = w.lookup_soi(3584, "complex128")
+        assert (e["segments"], e["n_mu"], e["d_mu"], e["b"]) == (32, 5, 4, 48)
+        assert "conv_inner" not in e
 
     def test_v1_bare_list_still_readable(self):
         v1 = json.dumps([{"n": 64, "sign": -1, "radices": [8, 8]}])

@@ -213,9 +213,9 @@ class TestConvolveWorkspace:
         ref = convolve(x_ext, f.tables, 0, p.m_oversampled, lo)
         for inner in ("einsum", "buffered", "matmul"):
             first = convolve(x_ext, f.tables, 0, p.m_oversampled, lo,
-                             workspace=ws, inner=inner)
+                             workspace=ws)
             again = convolve(x_ext, f.tables, 0, p.m_oversampled, lo,
-                             workspace=ws, inner=inner)
+                             workspace=ws)
             assert np.allclose(first, ref, rtol=1e-12, atol=1e-12)
             assert np.allclose(again, ref, rtol=1e-12, atol=1e-12)
         assert ws.nbytes() > 0
